@@ -128,54 +128,6 @@ def run_primary(args) -> int:
 
 # ----------------------------------------------------------------------
 # Parent: orchestrate, kill, promote, verify.
-def replay_primary_prefix(directory: Path, up_to_lsn: int):
-    """Independently rebuild the dead primary's state at ``up_to_lsn``.
-
-    Same record-application path the standby used
-    (:class:`RecordApplier`), driven straight off the dead primary's
-    segments — an arbiter that shares no process with either side of
-    the replication stream.
-    """
-    from repro.durable import records as rec
-    from repro.durable.recovery import RecordApplier
-    from repro.durable.wal import read_wal
-    from repro.service.ingest import IngestService, ServiceConfig
-    from repro.service.ledger import BudgetLedger
-
-    service = None
-    applier = None
-    for record in read_wal(directory).records:
-        if record.lsn > up_to_lsn:
-            break
-        if record.rtype == rec.CONFIG:
-            if service is None:
-                body = record.decode()
-                caps = body.get("ledger")
-                service = IngestService(
-                    ServiceConfig(**body["service_config"]),
-                    ledger=(
-                        None
-                        if caps is None
-                        else BudgetLedger(
-                            caps["epsilon_cap"],
-                            delta_cap=caps["delta_cap"],
-                        )
-                    ),
-                )
-                applier = RecordApplier(service)
-            continue
-        applier.apply(record)
-    if service is None:
-        raise RuntimeError(f"no CONFIG record in {directory}")
-    return service
-
-
-def ledger_key(records):
-    return sorted(
-        (r["user_id"], r["epsilon"], r["delta"]) for r in records
-    )
-
-
 def check(ok: bool, label: str, failures: list) -> None:
     print(f"  {'ok' if ok else 'FAIL':>4}  {label}")
     if not ok:
@@ -185,6 +137,7 @@ def check(ok: bool, label: str, failures: list) -> None:
 def run_smoke(args) -> int:
     import scrape_check
 
+    from repro.durable.oracle import ledger_key, replay_primary_prefix
     from repro.obs.exposition import try_scrape
     from repro.replication.client import ReplicaReadClient
     from repro.replication.pool import launch_standby

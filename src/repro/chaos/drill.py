@@ -78,8 +78,11 @@ HOST_LOSS_SMOKE_SEEDS = (11, 22)
 PARTITION_SMOKE_SEEDS = (7,)
 
 #: A standby must hold at least this LSN before the primary is killed,
-#: so the promoted state is never trivially empty.
-MIN_REPLICATED_LSN = 40
+#: so the promoted state is never trivially empty.  After CONFIG and
+#: REGISTER, every streamed chunk logs one CHARGE record (all of the
+#: chunk's charges) and one BATCH record, so this is eight chunks of
+#: claims with their charges.
+MIN_REPLICATED_LSN = 2 + 2 * 8
 
 
 # ----------------------------------------------------------------------
@@ -218,54 +221,6 @@ def run_primary(args) -> int:
 
 # ----------------------------------------------------------------------
 # Parent: orchestrate, kill, observe the self-heal, verify.
-def replay_primary_prefix(directory: Path, up_to_lsn: int):
-    """Independently rebuild the dead primary's state at ``up_to_lsn``.
-
-    Same record-application path the standby used
-    (:class:`~repro.durable.recovery.RecordApplier`), driven straight
-    off the dead primary's segments — an arbiter that shares no
-    process with either side of the replication stream.
-    """
-    from repro.durable import records as rec
-    from repro.durable.recovery import RecordApplier
-    from repro.durable.wal import read_wal
-    from repro.service.ingest import IngestService, ServiceConfig
-    from repro.service.ledger import BudgetLedger
-
-    service = None
-    applier = None
-    for record in read_wal(directory).records:
-        if record.lsn > up_to_lsn:
-            break
-        if record.rtype == rec.CONFIG:
-            if service is None:
-                body = record.decode()
-                caps = body.get("ledger")
-                service = IngestService(
-                    ServiceConfig(**body["service_config"]),
-                    ledger=(
-                        None
-                        if caps is None
-                        else BudgetLedger(
-                            caps["epsilon_cap"],
-                            delta_cap=caps["delta_cap"],
-                        )
-                    ),
-                )
-                applier = RecordApplier(service)
-            continue
-        applier.apply(record)
-    if service is None:
-        raise RuntimeError(f"no CONFIG record in {directory}")
-    return service
-
-
-def ledger_key(records):
-    return sorted(
-        (r["user_id"], r["epsilon"], r["delta"]) for r in records
-    )
-
-
 class _LineReader:
     """Read a child's stdout on a thread so waits can carry deadlines
     (after the primary dies, the next line comes from the watchdog —
@@ -342,6 +297,7 @@ def run_one_drill(
     """
     import numpy as np
 
+    from repro.durable.oracle import ledger_key, replay_primary_prefix
     from repro.replication.client import (
         FailoverReadClient,
         ReplicaError,
@@ -726,6 +682,7 @@ def run_host_loss_drill(
         install,
         uninstall,
     )
+    from repro.durable.oracle import ledger_key, replay_primary_prefix
 
     log(f"  reference run (uncrashed, in-process)")
     reference = _host_loss_service(num_shards, "in_process")

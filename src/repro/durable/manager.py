@@ -13,7 +13,11 @@ to.  The contract mirrors the ingest pipeline's own events:
   (and, under ``fsync="always"``, on disk);
 * ``log_charge`` — every admitted privacy-budget charge, so spent
   epsilon survives a restart (the safe direction: charges for claims
-  that never became durable stay spent);
+  that never became durable stay spent).  Charges are buffered, not
+  written one record each: the caller holds the ledger lock, and the
+  buffer is written as one columnar CHARGE record (see
+  :mod:`repro.durable.records`) in admission order at the points
+  listed below;
 * ``after_pump`` — the group-commit point: syncs the log under the
   ``batch`` fsync policy and triggers automatic checkpoints.  With
   ``async_commit`` enabled the write+fsync work runs on the WAL's
@@ -23,6 +27,26 @@ to.  The contract mirrors the ingest pipeline's own events:
   watermark (``wait_durable``) so a completed pump still guarantees
   its batches are on disk — grouped syncs instead of one fdatasync
   per frame.
+
+When a buffered charge reaches the log
+-------------------------------------
+
+The charge buffer is written, under the ledger lock, before any BATCH
+record (so every logged claim's charge sits at a lower LSN), at every
+``sync()`` and ``after_pump()``, inside ``checkpoint()`` before the
+covered LSN is read (so a charge is either in the checkpointed ledger
+or in the replayed suffix, never both), and at ``close()``.  A charge
+is therefore durable at the same point under every fsync policy as
+when each admission wrote its own record:
+
+* ``always``, synchronous commit — written and fsynced before
+  ``submit()`` returns (the buffer is written at admission);
+* ``always``, ``async_commit`` — durable when the pump that follows the
+  admission returns (``after_pump`` writes the buffer, then waits on
+  the durable-ack watermark);
+* ``batch`` — fsynced at the next group commit (``after_pump`` /
+  ``sync``);
+* ``never`` — handed to the OS at the next group commit.
 
 The manager also keeps *shadow counters* per campaign — claims and
 per-slot claim counts at logged-batch granularity.  Live
@@ -34,6 +58,7 @@ shadow counters are what checkpoints store and what recovery restores.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -54,8 +79,10 @@ _LOGGER = get_logger("durable.manager")
 #: v1: REGISTER records could store aggregator="auto" (recovery
 #: re-applies the v1 auto rule for them).  v2: registrations persist
 #: the resolved backend kind, so replay is independent of the
-#: auto-selection rules in force at recovery time.
-FORMAT_VERSION = 2
+#: auto-selection rules in force at recovery time.  v3: CHARGE records
+#: carry a columnar body with every charge admitted since the previous
+#: one (v2 wrote one JSON body per charge; both replay).
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -164,6 +191,15 @@ class DurabilityManager:
         self._cid_prefix: dict[str, bytes] = {}
         self._u16_slots: dict[str, bool] = {}
         self._claims_since_checkpoint = 0
+        # Admitted charges not yet in the log, as (user_id, epsilon,
+        # delta, label) in admission order.  Guarded by the ledger's
+        # lock once a service is bound (see bind); synchronous
+        # ``always`` writes each charge at admission.
+        self._charges: list[tuple] = []
+        self._charge_lock = threading.RLock()
+        self._charges_at_admission = (
+            config.fsync == "always" and not config.async_commit
+        )
         self._replication = None
         self._compaction_daemon: Optional[CompactionDaemon] = None
         self.claims_logged = 0
@@ -208,6 +244,11 @@ class DurabilityManager:
 
         self._service = service
         ledger = service.ledger
+        if ledger is not None:
+            # Producers buffer charges while holding this lock (the same
+            # hold as their admission), so every write of the buffer
+            # takes it too.
+            self._charge_lock = ledger.lock
         self._wal.append(
             rec.CONFIG,
             rec.encode_json_payload(
@@ -291,6 +332,10 @@ class DurabilityManager:
         USERS record at a lower LSN), so any batch that survives a
         crash can name its contributors on replay.
         """
+        # Every claim in the batch was admitted before it was queued, so
+        # writing the buffered charges first keeps each charge below
+        # its claims' batch in the log.
+        self._write_charges()
         campaign_id = state.campaign_id
         synced = self._users_synced.get(campaign_id, 0)
         # Read the length once and slice only up to it: producers may
@@ -354,24 +399,43 @@ class DurabilityManager:
 
     def log_charge(
         self, user_id, guarantee: LDPGuarantee, *, label: str = ""
-    ) -> int:
-        """Persist one admitted privacy-budget charge."""
-        self.charges_logged += 1
-        return self._wal.append(
-            rec.CHARGE,
-            rec.encode_json_payload(
-                {
-                    "user_id": user_id,
-                    "epsilon": guarantee.epsilon,
-                    "delta": guarantee.delta,
-                    "label": label,
-                }
-            ),
+    ) -> None:
+        """Buffer one admitted privacy-budget charge.
+
+        The caller holds the ledger lock across the admission and this
+        call.  The buffer reaches the log as one CHARGE record at the
+        points listed in the module docstring; under synchronous
+        ``fsync="always"`` that is here, before the caller returns.
+        """
+        self._charges.append(
+            (user_id, guarantee.epsilon, guarantee.delta, label)
         )
+        self.charges_logged += 1
+        if self._charges_at_admission:
+            self._append_charges()
+
+    def _write_charges(self) -> None:
+        """Write the buffered charges as one CHARGE record (if any)."""
+        # An unlocked peek is enough to skip the lock when the buffer is
+        # empty: a charge buffered concurrently belongs to a submission
+        # whose claims are not in any batch logged yet.
+        if self._charges:
+            with self._charge_lock:
+                self._append_charges()
+
+    def _append_charges(self) -> None:
+        """Append the buffer; the caller holds the charge lock."""
+        charges = self._charges
+        if charges:
+            self._wal.append(rec.CHARGE, rec.encode_charges(charges))
+            # Cleared only once appended: a failed append keeps the
+            # charges for the next write.
+            self._charges = []
 
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Force the log to disk (up to the fsync policy); blocking."""
+        self._write_charges()
         self._wal.sync()
 
     @property
@@ -393,6 +457,7 @@ class DurabilityManager:
         the durable-ack watermark, so the pump acknowledges its batches
         only once they are on disk (grouped syncs, not one per frame).
         """
+        self._write_charges()
         if self._config.async_commit and self._config.fsync != "always":
             self._wal.request_sync()
         else:
@@ -454,16 +519,17 @@ class DurabilityManager:
             )
         # The ledger snapshot and the covered log position are read
         # under the ledger lock — the same lock producers hold across
-        # (admit + log_charge) — so every charge is either in these
-        # records (LSN at or below the position) or strictly after the
-        # position and replayed from the suffix.  Never both, never
-        # neither.
+        # (admit + log_charge) — after the charge buffer was written,
+        # so every charge is either in these records (LSN at or below
+        # the position) or strictly after the position and replayed
+        # from the suffix.  Never both, never neither.
         if ledger is None:
             ledger_state = None
             self._wal.sync()
             lsn = self._wal.last_lsn
         else:
             with ledger.lock:
+                self._append_charges()
                 ledger_state = {
                     "epsilon_cap": ledger.epsilon_cap,
                     "delta_cap": ledger.delta_cap,
@@ -529,11 +595,15 @@ class DurabilityManager:
         recoverable).  Idempotent — a sticky async-writer error is
         raised by the first close only (see
         :meth:`~repro.durable.wal.WriteAheadLog.close`)."""
-        if self._compaction_daemon is not None:
-            self._compaction_daemon.stop()
-        if self._replication is not None:
-            self._replication.close()
-        self._wal.close()
+        try:
+            if not self._wal.closed:
+                self._write_charges()
+        finally:
+            if self._compaction_daemon is not None:
+                self._compaction_daemon.stop()
+            if self._replication is not None:
+                self._replication.close()
+            self._wal.close()
 
     def __enter__(self) -> "DurabilityManager":
         return self

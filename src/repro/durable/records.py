@@ -28,6 +28,25 @@ universes), which cuts the log to 12 bytes per claim; values are
 always f64 so replayed aggregation is bit-for-bit identical.  Wider
 encodings remain readable, so logs written by older versions replay
 unchanged.
+
+CHARGE bodies
+-------------
+
+Format v3 (:func:`encode_charges`) writes the privacy-budget charges
+admitted since the previous CHARGE record as one columnar JSON body,
+in admission order::
+
+    {"costs": [[epsilon, delta, label], ...],
+     "users": [user_id, ...],
+     "cost":  [index into costs, ...]}
+
+Each distinct cost is written once (every charge of a device-path pump
+against one campaign costs the same).  Floats are
+written with ``repr`` precision, so a replayed charge is the exact
+float that was admitted.  Format v2 logs hold one JSON body per
+charge, ``{"user_id", "epsilon", "delta", "label"}``; they are still
+read.  :func:`decode_charges` turns either body into the same
+``(user_id, epsilon, delta, label)`` tuples, in log order.
 """
 
 from __future__ import annotations
@@ -51,7 +70,7 @@ UNREGISTER = 3
 USERS = 4
 #: One accepted micro-batch (binary :class:`WorkItem`).
 BATCH = 5
-#: One admitted privacy-budget charge (JSON).
+#: Admitted privacy-budget charges (JSON): v3 columnar, v2 one each.
 CHARGE = 6
 #: A read-forced aggregator refresh (JSON); replayed so the streaming
 #: backend folds staged claims at the same points it did live.
@@ -276,3 +295,53 @@ def encode_json_payload(obj: dict) -> bytes:
         raise RecordError(
             f"record payload is not JSON-serialisable: {exc}"
         ) from exc
+
+
+def encode_charges(charges) -> bytes:
+    """A v3 columnar CHARGE body (see the module docstring).
+
+    ``charges`` is a sequence of ``(user_id, epsilon, delta, label)``
+    tuples in admission order; the body keeps that order.
+    """
+    costs: dict = {}
+    users = []
+    index = []
+    for user_id, epsilon, delta, label in charges:
+        key = (epsilon, delta, label)
+        i = costs.get(key)
+        if i is None:
+            i = costs[key] = len(costs)
+        users.append(user_id)
+        index.append(i)
+    return encode_json_payload(
+        {"costs": [list(key) for key in costs], "users": users,
+         "cost": index}
+    )
+
+
+def decode_charges(body: dict) -> list:
+    """``(user_id, epsilon, delta, label)`` per charge of a decoded
+    CHARGE body — v3 columnar or v2 single — in log order."""
+    try:
+        if "users" not in body:
+            return [
+                (body["user_id"], body["epsilon"], body["delta"],
+                 body.get("label", ""))
+            ]
+        costs = [tuple(cost) for cost in body["costs"]]
+        if any(len(cost) != 3 for cost in costs):
+            raise RecordError("a charge cost is not [epsilon, delta, label]")
+        users = body["users"]
+        index = body["cost"]
+        if len(index) != len(users):
+            raise RecordError(
+                f"charge body has {len(users)} users and "
+                f"{len(index)} cost indices"
+            )
+        return [
+            (user, *costs[i]) for user, i in zip(users, index)
+        ]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if isinstance(exc, RecordError):
+            raise
+        raise RecordError(f"malformed charge body: {exc}") from exc

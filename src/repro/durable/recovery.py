@@ -17,8 +17,8 @@ recovered aggregation state is a pure function of the logged batch
 sequence — bit-for-bit identical to a service that ingested exactly
 those batches.  Claims that were accepted but still buffered in a
 micro-batcher at crash time were never logged and are lost; their
-budget charges, which *were* logged at admission, stay spent (the
-privacy-safe direction).  Under ``async_commit`` the same applies one
+budget charges, which reached the log by the group commit after
+their admission, stay spent (the privacy-safe direction).  Under ``async_commit`` the same applies one
 level down: records staged for the background writer but never
 committed (beyond the durable-ack watermark) are a lost *suffix* —
 everything at or below the watermark replays.
@@ -173,15 +173,18 @@ class RecordApplier:
         elif record.rtype == rec.BATCH:
             self._apply_batch(record.decode())
         elif record.rtype == rec.CHARGE:
-            body = record.decode()
-            if service.ledger is not None:
-                service.ledger.record_spent(
-                    body["user_id"],
-                    LDPGuarantee(
-                        epsilon=body["epsilon"], delta=body["delta"]
-                    ),
-                )
-            self.report.charges_replayed += 1
+            # v2 bodies hold one charge, v3 bodies a column of them;
+            # either way each is re-applied on its own, in log order,
+            # so every user's spent total is the same float sum the
+            # live ledger computed.
+            charges = rec.decode_charges(record.decode())
+            ledger = service.ledger
+            if ledger is not None:
+                for user_id, epsilon, delta, _label in charges:
+                    ledger.record_spent(
+                        user_id, LDPGuarantee(epsilon=epsilon, delta=delta)
+                    )
+            self.report.charges_replayed += len(charges)
 
     def _apply_users(self, body: dict) -> None:
         service = self.service

@@ -21,7 +21,8 @@ fully-functional primary: the replication WAL handle is closed and a
 fresh :class:`~repro.durable.manager.DurabilityManager` (continuing
 LSNs after the replicated watermark) is attached via the shared
 :func:`~repro.durable.recovery.attach_resumed_durability` path — spent
-budget stays spent because every charge was logged at admission and
+budget stays spent because every charge was logged (by the group
+commit after its admission, before any batch holding its claims) and
 replayed on arrival.
 
 Run one with ``repro standby --dir DIR``; the process announces

@@ -44,6 +44,7 @@ import numpy as np
 from repro.crowdsensing.campaign import CampaignSpec
 from repro.crowdsensing.server import AggregationServer
 from repro.crowdsensing.transport import InProcessTransport
+from repro.durable.oracle import ledger_key
 from repro.obs.registry import percentile_from_counts
 from repro.service.ingest import IngestService, ServiceConfig
 from repro.service.ledger import BudgetLedger
@@ -761,19 +762,10 @@ def _bench_replication(
                     np.asarray(primary_snap.truths, dtype=np.float64),
                 )
             )
-            def _ledger_key(records):
-                # Spent totals must match exactly; record order is an
-                # insertion-order artifact (admission order on the
-                # primary, WAL charge order on the standby).
-                return sorted(
-                    (r["user_id"], r["epsilon"], r["delta"])
-                    for r in records
-                )
-
             budget_match = bool(
                 ledger_records is None
-                or _ledger_key(promoted_status["ledger"]["records"])
-                == _ledger_key(ledger_records)
+                or ledger_key(promoted_status["ledger"]["records"])
+                == ledger_key(ledger_records)
             )
         finally:
             for client in clients:

@@ -28,6 +28,7 @@ validation, admission, and durability logging stay in this process.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -752,13 +753,23 @@ class IngestService:
             return IngestResult(0, n, "unknown-campaign")
         shard_rejected = self.telemetry.shard_claims_rejected
         state = shard.campaigns[submission.campaign_id]
-        object_slots = state.object_slots(submission.object_ids)
-        if object_slots is None:
+        # A submission carries a handful of claims: plain Python over
+        # its tuples beats numpy calls on 8-element arrays.  The shard
+        # builds columns once per pump (see Shard.pump).
+        try:
+            object_slots = list(
+                map(state.object_index.__getitem__, submission.object_ids)
+            )
+        except (KeyError, TypeError):
             stats.rejected_unknown_object += n
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "unknown-object")
-        values = np.asarray(submission.values, dtype=float)
-        if not np.isfinite(values).all():
+        try:
+            values = list(map(float, submission.values))
+            finite = all(map(math.isfinite, values))
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
             stats.rejected_invalid_value += n
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "invalid-value")
@@ -781,12 +792,12 @@ class IngestService:
                 return IngestResult(0, n, "overflow")
             reserved = True
         if state.cost is not None and self._ledger is not None:
-            # Admission and its write-ahead charge record form one
+            # Admission and buffering its write-ahead charge form one
             # atomic section under the ledger lock, so a concurrent
-            # checkpoint (which snapshots the ledger and the log
-            # position under the same lock) sees either both or
-            # neither — a charge can never fall between a checkpoint's
-            # ledger records and its replayed log suffix.
+            # checkpoint (which writes the buffer, then snapshots the
+            # ledger and the log position, under the same lock) sees
+            # either both or neither — a charge can never fall between
+            # a checkpoint's ledger records and its replayed log suffix.
             with self._ledger.lock:
                 decision = self._ledger.admit(
                     submission.user_id,
@@ -821,9 +832,8 @@ class IngestService:
                 stats.rejected_capacity += n
                 shard_rejected[shard.index] += n
                 return IngestResult(0, n, "capacity")
-        user_slots = np.full(n, slot, dtype=np.int64)
         return self._enqueue(
-            shard, state, user_slots, object_slots, values,
+            shard, state, slot, object_slots, values,
             reserved=reserved, trace=trace,
         )
 
@@ -1236,14 +1246,16 @@ class IngestService:
         self,
         shard: Shard,
         state: CampaignState,
-        user_slots: np.ndarray,
-        object_slots: np.ndarray,
-        values: np.ndarray,
+        user_slots,
+        object_slots,
+        values,
         *,
         reserved: bool = False,
         trace=None,
     ) -> IngestResult:
-        n = values.size
+        """Queue one item: bulk column arrays, or a device submission's
+        ``(slot, object-slot list, value list)`` (see Shard.pump)."""
+        n = len(values)
         now = time.perf_counter()
         if trace is not None:
             trace.enqueue_ts = now

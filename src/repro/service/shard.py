@@ -52,7 +52,6 @@ class CampaignState:
         "claims_accepted",
         "claims_by_slot",
         "user_lock",
-        "_object_cache",
         "pending_traces",
     )
 
@@ -94,9 +93,6 @@ class CampaignState:
         # append would give two slots one identity — which would let
         # bulk admission under-charge privacy budget.
         self.user_lock = threading.Lock()
-        # Submissions typically reuse the same object_ids tuple; cache the
-        # tuple -> index-array translation so the hot path never re-maps.
-        self._object_cache: dict[tuple, np.ndarray] = {}
         # Sampled traces whose claims are in the batcher but whose batch
         # has not flushed yet (None until the first trace arrives).
         self.pending_traces: Optional[list] = None
@@ -137,28 +133,6 @@ class CampaignState:
                 self.user_table.append(user_id)
                 self.user_index[user_id] = slot
 
-    #: Cap on distinct object-id tuples cached per campaign; workloads
-    #: where every submission picks a fresh random subset would
-    #: otherwise grow the cache linearly with stream length.
-    _OBJECT_CACHE_LIMIT = 1024
-
-    def object_slots(self, object_ids: tuple) -> Optional[np.ndarray]:
-        """Index array for an object-id tuple; None when any id is unknown."""
-        cached = self._object_cache.get(object_ids)
-        if cached is not None:
-            return cached
-        try:
-            slots = np.fromiter(
-                (self.object_index[o] for o in object_ids),
-                dtype=np.int64,
-                count=len(object_ids),
-            )
-        except KeyError:
-            return None
-        if len(self._object_cache) < self._OBJECT_CACHE_LIMIT:
-            self._object_cache[object_ids] = slots
-        return slots
-
     def contributors(self) -> dict[str, float]:
         """Current weight for every user with at least one accepted claim.
 
@@ -193,6 +167,13 @@ class Shard:
     so the pump loop is pure array movement: drain items into the
     campaign's micro-batcher, feed completed batches to the aggregator,
     and record per-batch service latency for the benchmark's p50/p99.
+
+    An item is ``(state, user_slots, object_slots, values)`` column
+    arrays (the bulk path), or ``(state, slot, object-slot list, value
+    list)`` for one device submission — an ``int`` slot marks the
+    form.  Consecutive device items of a campaign are joined into one
+    set of columns per pump, so the batcher sees each campaign's claims
+    in the same order, and emits the same batches, as item by item.
 
     A shard is single-consumer (one thread pumps) but safely
     multi-producer: enqueue and the pump's queue takeover run under a
@@ -307,39 +288,74 @@ class Shard:
         moved = 0
         telemetry = self.telemetry
         now = time.perf_counter() if telemetry is not None else 0.0
+        campaigns = self.campaigns
+        # Device items waiting to be joined, per campaign state:
+        # ([slot], [claim count], object slots, values).
+        runs: dict = {}
         for item in queue[head:] if head else queue:
-            # Items are (state, user_slots, object_slots, values) plus,
-            # from the service's enqueue path, an enqueue timestamp and
-            # an optional sampled trace; bare 4-tuples (tests, tools)
-            # still work.
-            state, user_slots, object_slots, values = item[:4]
-            if self.campaigns.get(state.campaign_id) is not state:
+            # Items may carry, from the service's enqueue path, an
+            # enqueue timestamp and an optional sampled trace; bare
+            # 4-tuples (tests, tools) still work.
+            state = item[0]
+            if campaigns.get(state.campaign_id) is not state:
                 # The campaign was unregistered (or re-registered fresh)
                 # after this item was queued; drop it unprocessed.
                 continue
+            run = runs.get(state)
             if telemetry is not None and len(item) > 4:
-                telemetry.on_dequeue(
-                    self.index, now - item[4], item[5], state
-                )
-            for batch in state.batcher.add_columns(
-                user_slots, object_slots, values
-            ):
-                self._ingest(state, batch)
-            n = len(values)
-            # Contributor accounting happens here — when claims actually
-            # reach the batcher — so items shed by drop_oldest eviction
-            # never inflate a campaign's contributor set or quorum.
-            state.claims_accepted += n
-            if n and (user_slots == user_slots[0]).all():
-                # Per-submission items carry a single user.
-                state.claims_by_slot[user_slots[0]] += n
-            else:
-                state.claims_by_slot += np.bincount(
-                    user_slots, minlength=state.capacity
-                )
-            moved += n
+                trace = item[5]
+                if trace is not None and run is not None:
+                    # A trace is stamped by the first batch emitted
+                    # after it is dequeued: claims queued before it
+                    # must reach the batcher first.
+                    moved += self._feed_run(state, runs.pop(state))
+                    run = None
+                telemetry.on_dequeue(self.index, now - item[4], trace, state)
+            users = item[1]
+            if isinstance(users, int):
+                if run is None:
+                    run = runs[state] = ([], [], [], [])
+                run[0].append(users)
+                run[1].append(len(item[3]))
+                run[2].extend(item[2])
+                run[3].extend(item[3])
+                continue
+            if run is not None:
+                moved += self._feed_run(state, runs.pop(state))
+            moved += self._feed(state, users, item[2], item[3])
+            state.claims_by_slot += np.bincount(
+                users, minlength=state.capacity
+            )
+        for state, run in runs.items():
+            moved += self._feed_run(state, run)
         self.claims_processed += moved
         return moved
+
+    def _feed(self, state: CampaignState, user_slots, object_slots, values):
+        """Claim columns into the campaign's batcher; returns claims."""
+        for batch in state.batcher.add_columns(
+            user_slots, object_slots, values
+        ):
+            self._ingest(state, batch)
+        # Contributor accounting happens here — when claims actually
+        # reach the batcher — so items shed by drop_oldest eviction
+        # never inflate a campaign's contributor set or quorum.
+        state.claims_accepted += len(values)
+        return len(values)
+
+    def _feed_run(self, state: CampaignState, run: tuple) -> int:
+        """Joined device items into the campaign's batcher."""
+        slots, counts, object_slots, values = run
+        user_slots = np.repeat(np.array(slots, dtype=np.int64), counts)
+        # O(claims), not O(capacity): a pump's device items name few of
+        # a large campaign's users.
+        np.add.at(state.claims_by_slot, user_slots, 1)
+        return self._feed(
+            state,
+            user_slots,
+            np.array(object_slots, dtype=np.int64),
+            np.array(values, dtype=np.float64),
+        )
 
     def flush(self) -> None:
         """Pump, then push every partial batch into its aggregator."""

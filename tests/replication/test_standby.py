@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.durable import DurabilityConfig, DurabilityManager
+from repro.durable.oracle import ledger_key
 from repro.durable.stream import WalTailReader
 from repro.net.transport import connect
 from repro.privacy.ldp import LDPGuarantee
@@ -105,12 +106,6 @@ def quiesce(service, manager, sender, *, timeout=60.0):
         )
         time.sleep(0.01)
     return watermark
-
-
-def ledger_key(records):
-    return sorted(
-        (r["user_id"], r["epsilon"], r["delta"]) for r in records
-    )
 
 
 def free_port() -> int:
